@@ -186,6 +186,24 @@ class _ConfigError(Exception):
     pass
 
 
+def _runner_flags(args):
+    """The fabric runner flags given, rejected up front if invalid."""
+    try:
+        return runner_overrides(args)
+    except ExecutionConfigError as exc:
+        raise _ConfigError(str(exc)) from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _campaign_store(args):
     import json
 
@@ -237,8 +255,8 @@ def _events_path(store) -> str:
 def _cmd_campaign_run(args) -> int:
     from repro.campaign import render_report, run_campaign, run_campaign_fabric
 
+    fabric = _runner_flags(args)
     spec, store = _campaign_store(args)
-    fabric = runner_overrides(args)
     if fabric:
         # Any fabric flag engages the fault-tolerant runner; the plain
         # serial path below stays the differential oracle it is tested
@@ -297,16 +315,17 @@ def _cmd_campaign_report(args) -> int:
     return 0
 
 
+@_campaign_command
 def _cmd_campaign_run_all(args) -> int:
     from repro.campaign import CampaignSpec, CampaignStore, run_campaign_fabric
     from repro.campaign.fabric import resolve_run_all
 
+    fabric = _runner_flags(args)
     try:
         name, configs = resolve_run_all(args.target)
     except ValueError as exc:
         print(exc)
         return 2
-    fabric = runner_overrides(args)
     print(f"run-all {name!r}: {len(configs)} campaign(s)")
     failures = []
     for path in configs:
@@ -584,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = camp_sub.add_parser("run", help="execute pending campaign cells")
     add_campaign_common(p_run)
     p_run.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="legacy pool worker processes (1 = in-process serial); "
              "prefer --workers for the fault-tolerant fabric",
     )

@@ -7,7 +7,7 @@ and the verification logic used by tests and experiments.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.graphs.graph import Graph
 
@@ -24,9 +24,7 @@ __all__ = [
 def bfs_distances(graph: Graph, source: int) -> List[int]:
     """Distances from ``source``; unreachable vertices get -1.
 
-    Scans the graph's cached CSR adjacency — diameter computation runs a
-    BFS per vertex, so the flat layout matters for workload labeling on
-    larger graphs.
+    Scans the graph's cached CSR adjacency (flat typed arrays).
     """
     indptr, indices = graph.csr()
     dist = [-1] * graph.n
@@ -64,20 +62,54 @@ def eccentricity(graph: Graph, v: int) -> int:
     return max(dist)
 
 
-def diameter(graph: Graph, exact: bool = True, sample: Optional[int] = None) -> int:
-    """The paper's D = max_{u,v} dist(u, v).
+def diameter(graph: Graph) -> int:
+    """The paper's D = max_{u,v} dist(u, v), computed exactly.
 
-    Args:
-        exact: run BFS from every vertex (O(nm)).
-        sample: if ``exact`` is False, number of BFS sources to sample
-            (lower-bounds the diameter; good enough for workload labeling).
+    BoundingDiameters (Takes & Kosters, "Determining the diameter of
+    small world networks", CIKM 2011): keep a lower and an upper bound
+    on every vertex's eccentricity and BFS only from candidates that can
+    still raise the diameter.  A BFS from ``v`` with eccentricity ``e``
+    bounds every ``w`` at distance ``d`` by
+    ``max(e - d, d) <= ecc(w) <= e + d``.  Sources alternate between the
+    largest upper bound (likely periphery, raises the best eccentricity
+    seen) and the smallest lower bound (likely centre, tightens the
+    upper bounds).  A candidate is dropped once its upper bound cannot
+    beat the best eccentricity seen or its eccentricity is pinned; when
+    none is left, the lower and upper diameter bounds have met.  A path
+    needs one BFS run instead of n; vertex-transitive graphs (cycles,
+    cliques) cannot be pruned and need up to one per vertex.
+
+    Raises ``ValueError`` if the graph is disconnected.
     """
-    if graph.n == 1:
-        return 0
-    if exact:
-        return max(eccentricity(graph, v) for v in range(graph.n))
-    sources = range(min(graph.n, sample or 8))
-    return max(eccentricity(graph, v) for v in sources)
+    n = graph.n
+    lo = [0] * n
+    hi = [n - 1] * n  # no eccentricity in a connected graph exceeds n-1
+    candidates = list(range(n))
+    best = 0
+    pick_high = True
+    while candidates:
+        if pick_high:
+            v = max(candidates, key=hi.__getitem__)
+        else:
+            v = min(candidates, key=lo.__getitem__)
+        pick_high = not pick_high
+        dist = bfs_distances(graph, v)
+        if min(dist) < 0:
+            raise ValueError("diameter undefined: graph is disconnected")
+        e = max(dist)
+        for w in candidates:
+            d = dist[w]
+            low = e - d if e - d > d else d
+            if low > lo[w]:
+                lo[w] = low
+                if low > best:
+                    best = low
+            if e + d < hi[w]:
+                hi[w] = e + d
+        # A dropped vertex's eccentricity is at most ``best``: it is
+        # pinned (lo == hi; the BFS source always is) or bounded by it.
+        candidates = [w for w in candidates if best < hi[w] != lo[w]]
+    return best
 
 
 def is_connected(graph: Graph) -> bool:

@@ -572,7 +572,12 @@ def add_runner_args(parser: argparse.ArgumentParser):
 
 
 def runner_overrides(args: argparse.Namespace) -> Dict[str, Any]:
-    """The fabric runner options explicitly given on the command line."""
+    """The fabric runner options explicitly given on the command line.
+
+    Validated by the :class:`ExecutionConfig` field rules, so a bad
+    value (``--workers 0``, ``--retries -1``) raises
+    :class:`ExecutionConfigError` here, before any cell runs.
+    """
     overrides: Dict[str, Any] = {}
     for spec in ExecutionConfig.field_specs():
         if not spec.metadata["runner"]:
@@ -580,6 +585,7 @@ def runner_overrides(args: argparse.Namespace) -> Dict[str, Any]:
         value = getattr(args, spec.name, None)
         if value is not None:
             overrides[spec.name] = value
+    ExecutionConfig(**overrides)
     return overrides
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
+
+import pytest
 
 from repro.experiments.bench import (
     BenchWorkload,
@@ -33,11 +36,23 @@ def _tiny_workload() -> BenchWorkload:
     return BenchWorkload("tiny", "clique n=5 smoke workload", build, reps=1)
 
 
+@pytest.fixture(scope="module")
+def _shared_tiny_report():
+    """One bench run on the tiny workload, shared by every test that
+    makes this exact call: each run costs several seconds."""
+    return run_engine_benchmarks(
+        workloads=[_tiny_workload()], lockstep_seeds=8
+    )
+
+
+@pytest.fixture
+def report(_shared_tiny_report):
+    """A private copy of the shared report: some tests mutate it."""
+    return copy.deepcopy(_shared_tiny_report)
+
+
 class TestBenchHarness:
-    def test_report_shape_and_equivalence(self):
-        report = run_engine_benchmarks(
-            workloads=[_tiny_workload()], lockstep_seeds=8
-        )
+    def test_report_shape_and_equivalence(self, report):
         entry = report["workloads"]["tiny"]
         assert entry["equivalent"] is True
         assert entry["n"] == 5
@@ -109,10 +124,7 @@ class TestBenchHarness:
             "slots_replayed": 0, "seconds": {}, "equivalent": True,
         }
 
-    def test_thresholds(self):
-        report = run_engine_benchmarks(
-            workloads=[_tiny_workload()], lockstep_seeds=8
-        )
+    def test_thresholds(self, report):
         # Impossible bars must be flagged...
         violations = check_thresholds(
             report, min_legacy_speedup=1e9, min_ref_speedup=1e9
@@ -130,12 +142,9 @@ class TestBenchHarness:
         violations = check_thresholds(report, min_phase_speedup=1e9)
         assert len(violations) == 1 and "phase_vs_slot" in violations[0]
 
-    def test_lossy_soa_section_and_gate(self):
+    def test_lossy_soa_section_and_gate(self, report):
         from repro.sim.resolution import numpy_available
 
-        report = run_engine_benchmarks(
-            workloads=[_tiny_workload()], lockstep_seeds=8
-        )
         lossy = report["lossy_lockstep_trials"]
         assert lossy["workload"] == "lossy_sr_frame_n256"
         assert lossy["equivalent"] is True
@@ -162,18 +171,12 @@ class TestBenchHarness:
         violations = check_thresholds(report, min_lossy_soa_speedup=1.0)
         assert any("missing" in v for v in violations)
 
-    def test_equivalence_failure_is_a_violation(self):
-        report = run_engine_benchmarks(
-            workloads=[_tiny_workload()], lockstep_seeds=8
-        )
+    def test_equivalence_failure_is_a_violation(self, report):
         report["workloads"]["tiny"]["equivalent"] = False
         violations = check_thresholds(report)
         assert violations and "disagree" in violations[0]
 
-    def test_write_results_round_trips(self, tmp_path):
-        report = run_engine_benchmarks(
-            workloads=[_tiny_workload()], lockstep_seeds=8
-        )
+    def test_write_results_round_trips(self, report, tmp_path):
         path = tmp_path / "BENCH_engine.json"
         write_results(report, str(path))
         loaded = json.loads(path.read_text())

@@ -737,6 +737,35 @@ class TestFabricCLI:
             os.path.join(out_root, "clifab", "results.jsonl")
         )
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--workers", "0", "workers"),
+        ("--retries", "-1", "retries"),
+        ("--heartbeat", "-1", "heartbeat"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "run-all"])
+    def test_bad_runner_flag_exits_2(
+        self, tmp_path, capsys, command, flag, value, field
+    ):
+        config = self._config(tmp_path)
+        out = ["--out", str(tmp_path / "out")] if command == "run" else [
+            "--out-root", str(tmp_path / "campaigns"),
+        ]
+        assert main(["campaign", command, config, *out, flag, value]) == 2
+        stdout = capsys.readouterr().out
+        assert field in stdout and "Traceback" not in stdout
+        assert not os.path.exists(tmp_path / "out")
+        assert not os.path.exists(tmp_path / "campaigns")
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_rejected_by_argparse(
+        self, tmp_path, capsys, jobs
+    ):
+        config = self._config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "run", config, "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_store_compact_cli(self, tmp_path, capsys):
         store = _store(tmp_path)
         store.append(make_record("a", {}, "error", error="x"))

@@ -5,7 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.graphs.properties as properties
+from repro.campaign.registry import GRAPH_FAMILIES, GRAPH_FAMILY_MIN_SIZES
 from repro.graphs import (
     Graph,
     bfs_distances,
@@ -171,12 +175,79 @@ class TestProperties:
     def test_diameter_single_vertex(self):
         assert diameter(Graph(1, [])) == 0
 
-    def test_diameter_sampled_lower_bound(self):
-        g = path_graph(30)
-        approx = diameter(g, exact=False, sample=4)
-        assert approx <= diameter(g)
-        assert approx >= 26  # sampled from one end of the path
-
     def test_is_connected(self):
         assert is_connected(path_graph(4))
         assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
+
+
+def _brute_diameter(g):
+    return max(eccentricity(g, v) for v in range(g.n))
+
+
+class TestExactDiameter:
+    """``diameter`` prunes BFS sources by eccentricity bounds; it must
+    still equal the all-sources maximum on every graph."""
+
+    @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+    def test_graph_families(self, family):
+        sizes = list(range(GRAPH_FAMILY_MIN_SIZES[family], 41)) + [64, 100]
+        for size in sizes:
+            g = GRAPH_FAMILIES[family](size)
+            assert diameter(g) == _brute_diameter(g), (family, size)
+
+    def test_small_and_symmetric_graphs(self):
+        # Cycles and cliques are vertex-transitive: nothing can be
+        # pruned, the worst case for the bounds bookkeeping.
+        graphs = [Graph(1, []), Graph(2, [(0, 1)]), path_graph(1)]
+        graphs += [clique(n) for n in range(1, 21)]
+        graphs += [cycle_graph(n) for n in range(3, 41)]
+        graphs += [star_graph(n) for n in range(2, 12)]
+        graphs += [grid_graph(r, c) for r in range(1, 7) for c in range(1, 7)]
+        graphs += [binary_tree(d) for d in range(6)]
+        graphs += [caterpillar(5, 3), lollipop(5, 10), k2k_gadget(4)[0]]
+        for g in graphs:
+            assert diameter(g) == _brute_diameter(g), g.n
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        p=st.floats(0.0, 0.5),
+        seed=st.integers(0, 10**6),
+    )
+    def test_random_gnp(self, n, p, seed):
+        g = random_gnp(n, p, random.Random(seed))
+        assert diameter(g) == _brute_diameter(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 80), seed=st.integers(0, 10**6))
+    def test_random_tree(self, n, seed):
+        g = random_tree(n, random.Random(seed))
+        assert diameter(g) == _brute_diameter(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        half=st.integers(2, 30),
+        d=st.integers(2, 5),
+        seed=st.integers(0, 10**6),
+    )
+    def test_random_regular(self, half, d, seed):
+        g = random_regular(2 * half, d, random.Random(seed))
+        assert diameter(g) == _brute_diameter(g)
+
+    def test_disconnected_raises(self):
+        with pytest.raises(ValueError, match="disconnected"):
+            diameter(Graph(4, [(0, 1), (2, 3)]))
+        with pytest.raises(ValueError, match="disconnected"):
+            diameter(Graph(2, []))
+
+    def test_long_path_needs_a_handful_of_bfs_runs(self, monkeypatch):
+        calls = []
+        bfs = properties.bfs_distances
+
+        def counting(graph, source):
+            calls.append(source)
+            return bfs(graph, source)
+
+        monkeypatch.setattr(properties, "bfs_distances", counting)
+        assert diameter(path_graph(1024)) == 1023
+        assert 1 <= len(calls) <= 4

@@ -740,11 +740,14 @@ class TestTrialSoAEquivalence:
     def test_meter_energy_off(self):
         graph = clique(6)
         serial = run_trials(
-            graph, NO_CD, _plan_rich_protocol, self.SEEDS, meter_energy=False
+            graph, NO_CD, _plan_rich_protocol, self.SEEDS,
+            exec_config=ExecutionConfig(meter_energy=False),
         )
         lockstep = run_trials(
-            graph, NO_CD, _plan_rich_protocol, self.SEEDS, meter_energy=False,
-            exec_config=ExecutionConfig(lockstep=True, resolution="numpy"),
+            graph, NO_CD, _plan_rich_protocol, self.SEEDS,
+            exec_config=ExecutionConfig(
+                lockstep=True, resolution="numpy", meter_energy=False
+            ),
         )
         _assert_same_results(serial, lockstep)
         assert all(e.total == 0 for r in lockstep for e in r.energy)
@@ -759,9 +762,9 @@ class TestTrialSoAEquivalence:
         def run(resolution):
             with pytest.raises(SimulationTimeout) as exc:
                 run_trials(
-                    graph, NO_CD, forever, (0, 1), time_limit=16,
+                    graph, NO_CD, forever, (0, 1),
                     exec_config=ExecutionConfig(
-                        lockstep=True, resolution=resolution
+                        lockstep=True, resolution=resolution, time_limit=16
                     ),
                 )
             return str(exc.value)
