@@ -31,9 +31,15 @@ shared count-based stateless model, no per-slot observation hooks — see
 :func:`repro.sim.trialsoa.soa_engaged`) to the struct-of-arrays engine in
 :mod:`repro.sim.trialsoa`, which holds plan counters, wake times, and
 energy meters as 2-D ``[trial, node]`` arrays and advances whole runs
-per slot as array operations.  That flip took the ``lockstep_trials``
-curve in ``BENCH_engine.json`` from break-even to multiplicative
-(CI-gated at >= 2x on the dense many-seed workload).  The per-trial
+per leap of slots as array operations.  That flip took the
+``lockstep_trials`` curve in ``BENCH_engine.json`` from break-even to
+multiplicative — on the synthetic many-seed SR-frame cell, CI-gated at
+>= 2x.  On the paper's own campaigns it still loses to the serial
+engine: on the Table 1 ``dtime`` and ``nocd`` rows (n=8, 2-3 seeds,
+measured in process on a 2-core box) SoA ran ~17x and ~9x slower
+before it leapt over rounds whose feedback cannot change, and ~5-6x
+and ~7-8x slower after (20,961 -> 5,195 and 9,489 -> 7,409 loop
+iterations).  The per-trial
 driver below remains both the universal fallback (bitmask/list backends,
 per-seed model/observer factories, traces, no-numpy environments) and
 the lock-step differential oracle the SoA engine is pinned against.

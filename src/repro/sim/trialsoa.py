@@ -6,7 +6,7 @@ per-trial Python bookkeeping — dict churn in collect/apply, one
 ``gen.send`` per node per slot on per-slot protocols, one plan-state poke
 per node per slot on phase protocols.  This module keeps the *whole
 batch* of trials in 2-D numpy arrays indexed ``[trial, node]`` and
-advances every vectorizable run with whole-array operations per slot:
+advances every vectorizable run with whole-array operations per leap:
 
 ====================  =====================================================
 array                 meaning
@@ -23,26 +23,35 @@ array                 meaning
 ``e_send``/``e_listen``/``e_duplex``/``e_last``  int64  energy meters
 ====================  =====================================================
 
-Per global round, every unfinished trial stages exactly one slot (its
-own clock — trials at different slot numbers share a round).  The slot
-is resolved through :meth:`repro.sim.resolution.NumpyBackend.
+Per loop iteration, every unfinished trial stages one *leap* of ``L``
+slots (its own clock — trials at different slot numbers share a
+round; a leap of ``L`` slots spans ``L`` global rounds).  The leap's
+first slot is resolved through :meth:`repro.sim.resolution.NumpyBackend.
 trial_matrix_resolver` — one packbits over the send matrix, one AND +
 popcount sweep over the shared uint64 mask table for *all* trials — and
 classified into a ``[trial, node]`` feedback object array by per-model
-vectorized rules.  Countdowns (``rem -= 1``), energy charging, duration
-bookkeeping, and ``ListenUntil`` match detection are array operations;
-Python runs only at *run boundaries* (a run's last slot, an early
-``ListenUntil`` match, idle wake-ups, generator re-entries), where the
-node syncs its plan state and delegates to the same
-:func:`~repro.sim.plan.plan_feedback` / :func:`~repro.sim.plan.
+vectorized rules.  ``L`` is the largest slot count over which no staged
+cell can change state: the shortest remaining active run, the nearest
+idle wake-up, and the time limit bound it, so the send matrix — hence
+every feedback — is the same in all ``L`` slots.  A leap is one slot
+(``L = 1``) on lossy batches (drop draws are per slot), batches with
+observers (``observe_matrix`` sees every slot), and whenever a
+``ListenUntil`` cell hears a message-bearing candidate (``accept``
+runs at exactly the serial slots).  Countdowns (``rem -= L``), energy
+charging, duration bookkeeping, and ``ListenUntil`` match detection are
+array operations; Python runs only at *run boundaries* (a run's last
+slot, an early ``ListenUntil`` match, idle wake-ups, generator
+re-entries), where the node syncs its plan state and delegates to the
+same :func:`~repro.sim.plan.plan_feedback` / :func:`~repro.sim.plan.
 plan_resume` referee the serial engine uses.
 
 Feedback for multi-slot listen runs is delivered *deferred*: each
-round's feedback matrix is appended to a history list, and a run's
-feedbacks are gathered as a column slice when the run ends (every live
-trial stages one slot per round, so a k-slot run spans k consecutive
-rounds).  The history is truncated to the oldest in-flight collecting
-run, bounding memory.
+leap appends its feedback matrix to a history list once per slot it
+covers (the same object ``L`` times), and a run's feedbacks are
+gathered as a column slice when the run ends (one leap of ``L`` slots
+per iteration spans ``L`` rounds, so a k-slot run spans k consecutive
+rounds; the gather fetches each distinct matrix once).  The history is
+truncated to the oldest in-flight collecting run, bounding memory.
 
 What vectorizes (runs longer than one slot): ``Repeat`` of
 Send/Listen/SendListen, ``SendProb`` pre-drawn segments, ``ListenUntil``
@@ -92,6 +101,7 @@ run, so trailing draws continue the serial stream.
 
 from __future__ import annotations
 
+import operator
 import random
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -387,6 +397,9 @@ class _SoAEngine:
         self.plans: List[List[Any]] = [[None] * N for _ in range(T)]
         self.outputs: List[List[Any]] = [[None] * N for _ in range(T)]
         self.entries = [0] * T
+        # Loop iterations of run() (one leap each): tests bound it to
+        # catch a silent fallback to one round per slot.
+        self.iterations = 0
         self.hist: List[Any] = []
         self.hist_base = 0
         # Write-combining buffer for _load: per-cell scalar stores into
@@ -561,13 +574,17 @@ class _SoAEngine:
                 return
         self._load(t, v, action, slot, round_idx)
 
-    def _boundaries(self, boundary, round_idx: int, cur_list) -> None:
-        """Advance every cell whose run ended this round: sync the plan
-        counters from the arrays, hand the run's feedbacks to the shared
-        referee, re-enter generators at plan exhaustion, and load the
-        next run."""
+    def _boundaries(self, boundary, matched, round_idx: int,
+                    cur_list) -> None:
+        """Advance every cell whose run ended in the leap's last slot
+        (global round ``round_idx``, trial slot ``cur_list[t]``): sync
+        the plan counters from the arrays, hand the run's feedbacks to
+        the shared referee, re-enter generators at plan exhaustion, and
+        load the next run.  ``matched`` is :meth:`_until_matches`' mask
+        (or None): the ``ListenUntil`` verdicts already reached."""
         np = _np
         bt, bv = np.nonzero(boundary)
+        hits = matched[bt, bv].tolist() if matched is not None else None
         ts = bt.tolist()
         vs = bv.tolist()
         sts = self.st[bt, bv].tolist()
@@ -583,9 +600,11 @@ class _SoAEngine:
 
         # Pre-gather the earlier feedbacks of every multi-slot listen run
         # ending this round, vectorized: one fancy-indexed gather per
-        # history row over *all* such cells at once, one bulk tolist(),
-        # then a cheap per-cell list slice — instead of a numpy scalar
-        # read per (cell, slot) pair.
+        # *distinct* history matrix over all such cells at once (a leap
+        # repeats one matrix per slot it covers; rows are deduplicated
+        # by identity and fanned back out), one bulk tolist(), then a
+        # cheap per-cell list slice — instead of a numpy scalar read per
+        # (cell, slot) pair.
         prefetch: Dict[int, List[Any]] = {}
         gather_ks = [
             k for k in range(len(ts))
@@ -595,13 +614,22 @@ class _SoAEngine:
         if gather_ks:
             min_start = min(starts[k] for k in gather_ks)
             base = min_start - hist_base
+            span = round_idx - min_start
+            window = hist[base:base + span]
             gt = bt[gather_ks]
             gv = bv[gather_ks]
-            rows = [
-                hist[base + i][gt, gv]
-                for i in range(round_idx - min_start)
-            ]
-            per_cell = np.stack(rows, axis=0).T.tolist()
+            fresh = np.ones(span, dtype=bool)
+            fresh[1:] = ~np.fromiter(
+                map(operator.is_, window[1:], window[:-1]),
+                dtype=bool, count=span - 1,
+            )
+            firsts = np.flatnonzero(fresh)
+            rows = np.stack(
+                [window[i][gt, gv] for i in firsts.tolist()], axis=0
+            )
+            if firsts.size < span:
+                rows = rows[np.cumsum(fresh) - 1]
+            per_cell = rows.T.tolist()
             for j, k in enumerate(gather_ks):
                 offset = starts[k] - min_start
                 prefetch[k] = (
@@ -642,7 +670,15 @@ class _SoAEngine:
                         # one — what plan_feedback expects in ps[1] both
                         # at an early match and at exhaustion.
                         ps[1] = rems[k]
-                        action, result = plan_feedback(ps, fb_cell)
+                        # accept already ran on this feedback: hand the
+                        # referee the verdict (accept cleared on a hit,
+                        # no message on a miss), so accept runs once
+                        # per slot, as in the serial engine.
+                        if hits is not None and hits[k]:
+                            ps[2] = None
+                            action, result = plan_feedback(ps, fb_cell)
+                        else:
+                            action, result = plan_feedback(ps, None)
                     else:
                         action, result = plan_feedback(ps, fb_cell)
                 else:  # snext == -2: descriptor-less, generic referee
@@ -704,15 +740,33 @@ class _SoAEngine:
             # Trials still all-idle re-lap onto their (strictly later)
             # next wake; finished trials drop out via `alive`.
 
+    def _leap_length(self, staged, active) -> int:
+        """The largest slot count ``L`` over which no staged cell can
+        change state: the shortest remaining active run, the nearest idle
+        wake-up of a staged trial, and the time limit (so the timeout
+        fires at the serial slot)."""
+        leap = int(self.rem.min(where=active, initial=_FAR))
+        if leap <= 1:
+            return 1
+        cur = self.cur[staged]
+        wake_gap = int((self.wake[staged].min(axis=1) - cur).min())
+        limit_gap = self.time_limit - int(cur.max()) + 1
+        return min(leap, wake_gap, limit_gap)
+
     def run(self) -> None:
         np = _np
         st = self.st
         rem = self.rem
+        # Per-slot drop draws and per-slot observe_matrix calls pin
+        # every leap of these batches to one slot.
+        may_leap = self.lossy_models is None and self.observers is None
         round_idx = 0
+        truncate_at = 64
         while True:
             staged = self._stage(round_idx)
             if not staged.any():
                 break
+            self.iterations += 1
             run_col = staged[:, None]
             sending = ((st == _SEND) | (st == _DUPLEX)) & run_col
             receiving = (
@@ -739,34 +793,44 @@ class _SoAEngine:
                     )
                 fb = self._classify(counts, receiving, firsts, masked)
                 match_counts = counts
-            self.hist.append(fb)
 
-            cur = self.cur
             active = sending | receiving
-            if self.meter:
-                self.e_send[sending & (st == _SEND)] += 1
-                self.e_listen[
-                    receiving & ((st == _LISTEN) | (st == _UNTIL))
-                ] += 1
-                self.e_duplex[sending & (st == _DUPLEX)] += 1
-                np.copyto(self.e_last, cur[:, None], where=active)
-            np.maximum(
-                self.duration, cur + 1, out=self.duration, where=staged
-            )
-            self.bucket[staged] = cur[staged] + 1
-
-            boundary = active & (rem == 1)
+            matched = None
             until_cells = (st == _UNTIL) & run_col
             if until_cells.any():
                 matched = self._until_matches(until_cells, match_counts, fb)
-                if matched is not None:
-                    boundary = boundary | matched
+            leap = 1
+            if may_leap and matched is None:
+                leap = self._leap_length(staged, active)
+            self.hist.extend([fb] * leap)
+            if leap > 1:
+                rem[active] -= leap - 1
+
+            last = self.cur + (leap - 1)  # each trial's last leap slot
+            if self.meter:
+                self.e_send[sending & (st == _SEND)] += leap
+                self.e_listen[
+                    receiving & ((st == _LISTEN) | (st == _UNTIL))
+                ] += leap
+                self.e_duplex[sending & (st == _DUPLEX)] += leap
+                np.copyto(self.e_last, last[:, None], where=active)
+            np.maximum(
+                self.duration, last + 1, out=self.duration, where=staged
+            )
+            self.bucket[staged] = last[staged] + 1
+
+            boundary = active & (rem == 1)
+            if matched is not None:
+                boundary |= matched
             rem[active & ~boundary] -= 1
+            round_idx += leap
             if boundary.any():
-                self._boundaries(boundary, round_idx, cur.tolist())
-            round_idx += 1
-            if (round_idx & 63) == 0:
+                self._boundaries(
+                    boundary, matched, round_idx - 1, last.tolist()
+                )
+            if round_idx >= truncate_at:
                 self._truncate_hist(round_idx)
+                truncate_at = round_idx + 64
         if self.lossy_models is not None:
             # Leave each trial's channel rng exactly where the serial
             # oracle would: the next draw continues the same stream.
@@ -783,9 +847,11 @@ class _SoAEngine:
 
     def _until_matches(self, until_cells, counts, fb):
         """Boolean [T, N] mask of ListenUntil cells whose current
-        feedback ends their run early, or None.  The per-model count rule
-        prunes candidates vectorized; the survivors are re-checked per
-        element (is_message + accept), exactly the referee's condition."""
+        feedback ends their run early, or None when no candidate carries
+        a message (then no accept ran, and none would in a leap).  The
+        per-model count rule prunes candidates vectorized; the survivors
+        are re-checked per element (is_message + accept), exactly the
+        referee's condition."""
         np = _np
         rule = self.until_rule
         if rule == "eq1":
@@ -802,14 +868,14 @@ class _SoAEngine:
         ts, vs = np.nonzero(cand)
         vals = fb[ts, vs].tolist()
         plans = self.plans
-        any_hit = False
+        any_message = False
         for t, v, x in zip(ts.tolist(), vs.tolist(), vals):
             if is_message(x):
+                any_message = True
                 accept = plans[t][v][2]
                 if accept is None or accept(x):
                     matched[t, v] = True
-                    any_hit = True
-        return matched if any_hit else None
+        return matched if any_message else None
 
     def _observe(self, staged, sending, receiving, counts) -> None:
         """Fire each staged trial's batch-capable observers for this

@@ -13,6 +13,7 @@ import pytest
 
 import repro.sim.batch as batch_module
 import repro.sim.lockstep as lockstep_module
+import repro.sim.trialsoa as trialsoa_module
 from repro.graphs import clique, path_graph, random_gnp, star_graph
 from repro.sim import (
     ExecutionConfig,
@@ -468,20 +469,109 @@ def _mixed_fallback_protocol(ctx):
     return ("plan", ctx.index, repr(got))
 
 
-def _rng_heavy_protocol(steps: int):
+def _rng_heavy_protocol(steps: int, span: int = 3):
     """Plans whose shape and parameters come from the node rng, ending
-    with a raw draw that pins the exact stream position."""
+    with a raw draw that pins the exact stream position.  ``span``
+    bounds the drawn plan lengths (long spans make the SoA engine leap)."""
 
     def protocol(ctx):
         total = 0
         for _ in range(steps):
-            yield SendProb(("h", ctx.index), ctx.rng.random(), 1 + ctx.rng.randrange(3))
-            fb = yield ListenUntil(1 + ctx.rng.randrange(2))
+            yield SendProb(
+                ("h", ctx.index), ctx.rng.random(), 1 + ctx.rng.randrange(span)
+            )
+            fb = yield ListenUntil(1 + ctx.rng.randrange(span - 1))
             if fb is not None:
                 total += 1
+            heard = yield Repeat(Listen(), 1 + ctx.rng.randrange(span))
+            total += sum(1 for x in heard if isinstance(x, tuple))
         return (ctx.index, total, ctx.rng.random())
 
     return protocol
+
+
+LONG = 10_000  # slots in one fixed run: far past any per-slot budget
+
+
+def _long_run_protocol(duplex: bool, span: int = LONG):
+    """Every node spends the run in one ``span``-slot Repeat: senders,
+    collecting listeners and (where legal) full-duplex nodes."""
+
+    def protocol(ctx):
+        role = ctx.index % 3
+        if role == 0:
+            yield Repeat(Send(("long", ctx.index)), span)
+            heard = yield Repeat(Listen(), 3)
+        elif role == 1 or not duplex:
+            heard = yield Repeat(Listen(), span)
+        else:
+            heard = yield Repeat(SendListen(("dup", ctx.index)), span)
+        return (ctx.index, heard)
+
+    return protocol
+
+
+def _frame_index(message):
+    """The frame number of a ("frame", i) message, unwrapping LOCAL's
+    1-tuples."""
+    while isinstance(message, tuple) and len(message) == 1:
+        message = message[0]
+    return message[1]
+
+
+def _until_frame_protocol(accepted):
+    """A sender idles between 40-slot frames; every listener sits in one
+    padded ListenUntil whose ``accept`` rejects the first two frames
+    (and records every call in ``accepted``)."""
+
+    def accept(message):
+        accepted.append(message)
+        return _frame_index(message) >= 2
+
+    def protocol(ctx):
+        if ctx.index == 0:
+            for i in range(4):
+                yield Idle(300)
+                yield Repeat(Send(("frame", i)), 40)
+            return "sender"
+        got = yield ListenUntil(2_000, accept=accept, pad=True)
+        tail = yield Repeat(Listen(), 500)
+        return (ctx.index, got, len(tail))
+
+    return protocol
+
+
+def _staggered_protocol(ctx):
+    """Per-node, per-seed random lengths: a long send burst on node 0
+    while the others wake at scattered slots inside it and listen."""
+    span = 1_000 + ctx.rng.randrange(4_000)
+    if ctx.index == 0:
+        yield Repeat(Send(("s", 0)), span)
+        return ("sender", span)
+    heard = []
+    for _ in range(3):
+        yield Idle(1 + ctx.rng.randrange(900))
+        heard.append((yield Listen()))
+        got = yield Repeat(Listen(), 1 + ctx.rng.randrange(300))
+        heard.append(got[-1])
+    return (ctx.index, heard)
+
+
+def _segment_protocol(ctx):
+    """SendProb segments and Steps carves: the listeners' carved listen
+    stretches collect feedback across leaps bounded by the senders'
+    segment boundaries."""
+    if ctx.index % 2 == 0:
+        yield SendProb(("p", ctx.index), 0.02, 2_000)
+        burst = Send(("q", ctx.index))
+        yield Steps((burst,) * 300 + (Idle(50), Send(("q2", ctx.index))))
+        return ("sender", ctx.index)
+    listen = Listen()
+    heard = yield Steps(
+        (listen,) * 700 + (Send(("x", ctx.index)),) + (listen,) * 900
+    )
+    more = yield Repeat(Listen(), 1_500)
+    return (ctx.index, heard, more)
 
 
 @pytest.mark.skipif(not numpy_available(), reason="SoA engine requires numpy")
@@ -773,6 +863,152 @@ class TestTrialSoAEquivalence:
         assert len(messages) == 1  # SoA and per-trial drivers agree
         assert "seed" in messages.pop()
 
+    # --- leaps: the SoA engine advances L slots per iteration ----------
+
+    def _three_way(self, graph, model, protocol, seeds, **kw):
+        """SoA vs the serial engine (same config) on every seed and vs
+        the reference oracle on the first; returns the SoA results."""
+        serial = run_trials(
+            graph, model, protocol, seeds,
+            exec_config=ExecutionConfig(**kw),
+        )
+        soa = run_trials(
+            graph, model, protocol, seeds,
+            exec_config=ExecutionConfig(
+                lockstep=True, resolution="numpy", **kw
+            ),
+        )
+        _assert_same_results(serial, soa)
+        for a, b in zip(serial, soa):
+            assert a.gen_entries == b.gen_entries
+        ref = ReferenceSimulator(graph, model, seed=soa[0].seed).run(protocol)
+        assert ref.outputs == soa[0].outputs
+        assert ref.duration == soa[0].duration
+        assert [e.total for e in ref.energy] == [
+            e.total for e in soa[0].energy
+        ]
+        return soa
+
+    @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
+    def test_long_repeat_runs(self, model_name):
+        model = FIVE_MODELS[model_name]
+        graph = random_gnp(9, 0.5, random.Random(33))
+        protocol = _long_run_protocol(model.full_duplex)
+        soa = self._three_way(graph, model, protocol, self.SEEDS[:2])
+        assert all(r.duration == LONG + 3 for r in soa)
+
+    @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
+    def test_listen_until_accept_calls(self, model_name):
+        model = FIVE_MODELS[model_name]
+        graph = star_graph(6)
+        serial_calls, soa_calls = [], []
+        serial = run_trials(
+            graph, model, _until_frame_protocol(serial_calls), self.SEEDS
+        )
+        soa = run_trials(
+            graph, model, _until_frame_protocol(soa_calls), self.SEEDS,
+            exec_config=ExecutionConfig(lockstep=True, resolution="numpy"),
+        )
+        _assert_same_results(serial, soa)
+        # accept runs at exactly the serial slots: frames 0 and 1 are
+        # rejected slot by slot, frame 2's first slot is accepted.
+        assert len(soa_calls) == len(serial_calls)
+        if model is not BEEPING:
+            assert len(serial_calls) == len(self.SEEDS) * 5 * 81
+
+    @pytest.mark.parametrize("stepping", ("slot", "phase"))
+    @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
+    def test_staggered_wakeups_inside_long_runs(self, model_name, stepping):
+        model = FIVE_MODELS[model_name]
+        soa = self._three_way(
+            star_graph(6), model, _staggered_protocol, self.SEEDS,
+            stepping=stepping,
+        )
+        assert len({r.duration for r in soa}) > 1  # trials differ in length
+
+    @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
+    def test_sendprob_and_steps_collect_across_leaps(self, model_name):
+        model = FIVE_MODELS[model_name]
+        graph = random_gnp(8, 0.6, random.Random(12))
+        self._three_way(graph, model, _segment_protocol, self.SEEDS)
+
+    def test_timeout_inside_leap(self):
+        def long_sender(ctx):
+            yield Repeat(Send(("f", ctx.index)), LONG)
+            return ctx.index
+
+        graph = clique(4)
+        limit = 4_321
+
+        def run(**kwargs):
+            with pytest.raises(SimulationTimeout) as exc:
+                run_trials(
+                    graph, NO_CD, long_sender, (0, 1),
+                    exec_config=ExecutionConfig(time_limit=limit, **kwargs),
+                )
+            return str(exc.value)
+
+        messages = {
+            run(lockstep=True, resolution=resolution)
+            for resolution in RESOLUTIONS
+        }
+        assert len(messages) == 1  # SoA and per-trial drivers agree
+        serial = run()
+        assert serial == f"simulation exceeded {limit} slots (4 protocols still running)"
+        assert messages.pop() == serial[:-1] + ", seed 0)"
+
+    @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
+    def test_lossy_and_burst_loss_long_runs(self, model_name):
+        # These batches never leap (drop draws are per slot); a short
+        # span keeps the one-slot iterations cheap.
+        inner = FIVE_MODELS[model_name]
+        graph = random_gnp(8, 0.6, random.Random(12))
+        protocol = _long_run_protocol(inner.full_duplex, span=400)
+        factory = lambda seed: LossyModel(inner, 0.35, seed=seed)
+        for config in (
+            ExecutionConfig(model_factory=factory),
+            ExecutionConfig(burst_loss="p_gb=0.1,p_bg=0.3"),
+        ):
+            serial = run_trials(
+                graph, inner, protocol, self.SEEDS, exec_config=config
+            )
+            soa = run_trials(
+                graph, inner, protocol, self.SEEDS,
+                exec_config=config.replace(lockstep=True, resolution="numpy"),
+            )
+            _assert_same_results(serial, soa)
+            if numpy_available():
+                assert all(r.soa_reason == "ok" for r in soa)
+
+    @pytest.mark.skipif(not numpy_available(), reason="SoA engine requires numpy")
+    def test_long_runs_take_few_iterations(self, monkeypatch):
+        """A fallback to one round per slot would take 10,000 iterations
+        here; a leap takes the whole run in one."""
+        engines = []
+        real_run = trialsoa_module._SoAEngine.run
+
+        def spy(self):
+            engines.append(self)
+            return real_run(self)
+
+        monkeypatch.setattr(trialsoa_module._SoAEngine, "run", spy)
+
+        def protocol(ctx):
+            if ctx.index == 0:
+                yield Repeat(Send(("s", 0)), LONG)
+                return None
+            heard = yield Repeat(Listen(), LONG)
+            return heard.count(("s", 0))
+
+        results = run_trials(
+            path_graph(2), NO_CD, protocol, (0, 1),
+            exec_config=ExecutionConfig(lockstep=True, resolution="numpy"),
+        )
+        assert [r.outputs for r in results] == [[None, LONG]] * 2
+        assert [r.duration for r in results] == [LONG] * 2
+        assert len(engines) == 1
+        assert engines[0].iterations <= 3
+
 
 class TestTrialSoAProperty:
     @settings(max_examples=20, deadline=None)
@@ -823,13 +1059,15 @@ class TestTrialSoAProperty:
         n=st.integers(min_value=2, max_value=9),
         steps=st.integers(min_value=1, max_value=5),
         stepping=st.sampled_from(("slot", "phase")),
+        span=st.sampled_from((3, 40, 600)),
     )
-    def test_rng_draw_order_identity(self, seed, n, steps, stepping):
+    def test_rng_draw_order_identity(self, seed, n, steps, stepping, span):
         """A final rng draw in the protocol return value pins the exact
         position of every node's random stream: any divergence in draw
-        order between the engines shows up as a different output."""
+        order between the engines shows up as a different output.  Long
+        spans draw plan lengths the SoA engine leaps over."""
         graph = clique(n)
-        protocol = _rng_heavy_protocol(steps)
+        protocol = _rng_heavy_protocol(steps, span)
         seeds = (seed, seed + 1)
         serial = run_trials(
             graph, NO_CD, protocol, seeds,
