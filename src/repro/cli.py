@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import os
 import sys
 from typing import List, Optional
@@ -201,6 +202,18 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0 < value < math.inf:  # also false for NaN
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds > 0, got {text}"
+        )
     return value
 
 
@@ -497,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     # contention_hist needs the cells layer's extras channel, and the
     # beta ablation runs on a bare (serial) Simulator.
     p_fig = sub.add_parser("figure1", help="render the Figure 1 timeline")
-    p_fig.add_argument("--n", type=int, default=32)
+    p_fig.add_argument("--n", type=_positive_int, default=32)
     p_fig.add_argument("--seed", type=int, default=0)
     add_execution_args(p_fig, exclude=("contention_hist",))
     p_fig.set_defaults(func=_cmd_figure1)
@@ -608,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
              "prefer --workers for the fault-tolerant fabric",
     )
     p_run.add_argument(
-        "--timeout", type=float, default=None,
+        "--timeout", type=_positive_seconds, default=None,
         help="per-cell wall-clock budget in seconds",
     )
     # --workers/--retries/--heartbeat: any of them engages the fabric
@@ -659,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
              "<out-root>/<name>/ (default: campaigns)",
     )
     p_all.add_argument(
-        "--timeout", type=float, default=None,
+        "--timeout", type=_positive_seconds, default=None,
         help="per-cell wall-clock budget in seconds",
     )
     add_runner_args(p_all)

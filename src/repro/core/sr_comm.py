@@ -25,7 +25,8 @@ The hot frames are *phase-compiled* (:mod:`repro.sim.plan`): decay
 senders pre-draw their burst length and yield one ``Repeat(Send, k)``
 per phase, decay receivers yield a single padded ``ListenUntil`` for the
 whole frame, and the CD / deterministic interval schedules yield
-``Steps`` sequences — so a frame costs O(phases) generator entries
+``Steps`` sequences (a CD sender without acks: one ``Steps`` for the
+whole frame) — so a frame costs O(phases) generator entries
 instead of O(frame_length).  All rewirings preserve the per-slot rng
 draw order and slot-for-slot action sequence, so results are
 byte-identical to the per-slot path (``stepping="slot"`` pins this).
@@ -264,6 +265,33 @@ class _Controller:
                 self.lo = max(0, self.hi - 1)
 
 
+def _sender_plan(rand, slots: int, epochs: int, message: Any):
+    """The plan of ``epochs`` consecutive Lemma 8 sender epochs.
+
+    Each epoch draws one ``rand()`` per slot, in slot order, and sends
+    at the first two slots i whose draw is below 2^-(i+1).  The picks are
+    fully determined by those draws, so the interval schedule goes out as
+    one ``Steps`` plan with adjacent idles merged (across epoch
+    boundaries too); a lone action is yielded bare.
+    """
+    acts = []
+    idle = 0
+    for _ in range(epochs):
+        picks = [i for i in range(slots) if rand() < 2.0 ** -(i + 1)][:2]
+        cursor = 0
+        for i in picks:
+            idle += i - cursor
+            if idle:
+                acts.append(Idle(idle))
+                idle = 0
+            acts.append(Send(message))
+            cursor = i + 1
+        idle += slots - cursor
+    if idle:
+        acts.append(Idle(idle))
+    return acts[0] if len(acts) == 1 else Steps(tuple(acts))
+
+
 def sr_cd(
     ctx: NodeCtx,
     role: Role,
@@ -279,6 +307,13 @@ def sr_cd(
     and spend O(1) energy.  With ``params.ack`` (the Lemma 8 special case),
     receivers that already got a message transmit an ack at the end of each
     epoch and their neighboring senders shut down.
+
+    Phase-compiled: with ``ack`` off a sender pre-draws every epoch's
+    picks (same draws, same order as epoch by epoch) and yields the
+    whole frame as one ``Steps`` plan; with ``ack`` on it yields one
+    ``Steps`` per epoch plus the per-slot ack listen.  A receiver yields
+    one idle/listen/idle ``Steps`` per epoch and, once satisfied, one
+    ``Idle`` for the rest of the frame.  Probe slots stay per-slot.
     """
     total = params.frame_length
     spent = 0
@@ -313,35 +348,23 @@ def sr_cd(
 
     slots = params.slots_per_epoch
     if role is Role.SENDER:
+        rand = ctx.rng.random
+        if not params.ack:
+            # Without acks nothing the sender hears can change its
+            # schedule: the whole frame is one plan.
+            yield _sender_plan(rand, slots, params.epochs, message)
+            return None
         for _ in range(params.epochs):
-            # Phase-compiled epoch: the picks are fully determined by the
-            # (unchanged) rng draws, so the whole idle/send interval
-            # schedule goes out as one Steps plan.  The ack slot stays
-            # per-slot — its feedback decides the early exit.
-            picks = [
-                i for i in range(slots) if ctx.rng.random() < 2.0 ** -(i + 1)
-            ][:2]
-            acts = []
-            cursor = 0
-            for i in picks:
-                if i > cursor:
-                    acts.append(Idle(i - cursor))
-                acts.append(Send(message))
-                cursor = i + 1
-            if slots > cursor:
-                acts.append(Idle(slots - cursor))
-            if len(acts) == 1:
-                yield acts[0]
-            else:
-                yield Steps(tuple(acts))
+            # With acks, one plan per epoch: the ack slot stays per-slot
+            # because its feedback decides the early exit.
+            yield _sender_plan(rand, slots, 1, message)
             spent += slots
-            if params.ack:
-                feedback = yield Listen()
-                spent += 1
-                if feedback is not SILENCE:
-                    # Some neighboring receiver is satisfied; stop early.
-                    yield from idle_rest()
-                    return None
+            feedback = yield Listen()
+            spent += 1
+            if feedback is not SILENCE:
+                # Some neighboring receiver is satisfied; stop early.
+                yield from idle_rest()
+                return None
         return None
 
     # Receiver: one listening slot per epoch, controller-chosen.  The
@@ -378,13 +401,10 @@ def sr_cd(
                     yield from _idle(1)
                 spent += 1
         else:
-            if params.ack:
-                # Stay on schedule but free of charge once satisfied
-                # (ack already sent in the epoch of reception).
-                yield from idle_rest()
-                break
-            yield from _idle(slots)
-            spent += slots
+            # Satisfied (any ack went out in the epoch of reception):
+            # stay on schedule free of charge with one Idle.
+            yield from idle_rest()
+            break
     return received
 
 

@@ -51,7 +51,7 @@ def _payload_arrival_slots(outcome: BroadcastOutcome) -> Dict[int, int]:
 
     for event in trace:
         if event.kind in ("listen", "duplex") and is_message(event.feedback):
-            if mentions_payload(event.feedback) and event.node not in arrival:
+            if event.node not in arrival and mentions_payload(event.feedback):
                 arrival[event.node] = event.slot
     return arrival
 

@@ -30,6 +30,17 @@ boundaries — a k-slot phase costs O(1) ``gen.send`` calls instead of k.
 ``stepping="slot"`` instead expands every plan back into per-slot yields
 (:func:`repro.sim.plan.expand_plans`), the byte-identical oracle path.
 
+When every device active in a slot is mid-run (a send run, a listen run,
+or a ``ListenUntil`` that heard no message), the following slots repeat
+it exactly until a run ends, a sleeper wakes, or the time limit is
+reached, so the engine *leaps*: it performs those ``k`` slots at once —
+counters down by ``k``, listen feedback collected ``k`` times, energy
+charged ``k`` units — instead of resolving each.  It leaps only where a
+slot's feedback is a pure function of who acts with what: count-based,
+stateless, not slot-aware models, no churn, and no observer but the
+energy meter (traces and extra observers see every slot).  The leap is
+result-neutral; ``stepping="slot"`` never leaps (no plans are active).
+
 Energy metering and trace recording live in :mod:`repro.sim.observers`
 hooks, keeping the slot loop free of instrumentation branches — tracing
 costs zero when disabled.
@@ -399,6 +410,19 @@ class Simulator:
         resolve_slot = self.backend.slot_resolver(model)
         count_based = model.supports_count
         time_limit = self.time_limit
+        # Leaping (see the advance loop) needs a slot's feedback to be a
+        # pure function of who acts with what: no per-slot model context,
+        # no channel state, no crash schedule, and no observer but the
+        # energy meter (which the leap charges directly).
+        may_leap = (
+            count_based
+            and not slot_aware
+            and not model.stateful
+            and churn is None
+            and len(observers) == 1
+        )
+        metered = self.meter_energy
+        e_sends, e_listens, e_last = energy.sends, energy.listens, energy.last_active
 
         duration = 0
         while remaining:
@@ -514,28 +538,40 @@ class Simulator:
             # operations (the inline fast paths below) and only re-enter
             # their generator at plan boundaries — that is the whole point
             # of phase plans, so this block must stay call-free on the
-            # within-run continuations.
+            # within-run continuations.  ``fast`` counts the actors that
+            # took one (``minrem`` is their smallest remaining run).
             next_slot = slot + 1
             bucket_slot = next_slot
             if duration < next_slot:
                 duration = next_slot
-            for v in receivers if not senders else list(senders) + receivers:
+            actors = receivers if not senders else list(senders) + receivers
+            fast = 0
+            minrem = time_limit
+            for v in actors:
                 ps = plans[v]
                 if ps is not None:
                     op = ps[0]
                     if op == OP_SEND:  # mid send-run
                         rem = ps[1]
                         if rem > 1:
-                            ps[1] = rem - 1
+                            rem -= 1
+                            ps[1] = rem
                             bucket_senders[v] = ps[2]
+                            fast += 1
+                            if rem < minrem:
+                                minrem = rem
                             continue
                         action, result = plan_feedback(ps, None)
                     elif op == OP_LISTEN:  # mid listen-run
                         ps[3].append(feedbacks[v])
                         rem = ps[1]
                         if rem > 1:
-                            ps[1] = rem - 1
+                            rem -= 1
+                            ps[1] = rem
                             bucket_listeners.append(v)
+                            fast += 1
+                            if rem < minrem:
+                                minrem = rem
                             continue
                         action, result = plan_resume(ps)
                     elif op == OP_UNTIL:
@@ -550,8 +586,12 @@ class Simulator:
                             # Definite non-message: keep listening.
                             rem = ps[1]
                             if rem > 1:
-                                ps[1] = rem - 1
+                                rem -= 1
+                                ps[1] = rem
                                 bucket_listeners.append(v)
+                                fast += 1
+                                if rem < minrem:
+                                    minrem = rem
                                 continue
                         action, result = plan_feedback(ps, fb)
                     elif op == OP_STEPS:
@@ -629,6 +669,33 @@ class Simulator:
                             f"protocol yielded non-action {action!r}"
                         )
                     break
+
+            # Leap: when every actor is mid-run, no sleeper wakes and no
+            # run ends, the next slots repeat this one exactly (same
+            # senders, messages, listeners, hence feedback), so perform
+            # k of them at once.  The slot after the leap is stepped
+            # normally: a run ends, a sleeper joins, or the limit trips.
+            if may_leap and fast == len(actors):
+                k = minrem - 1
+                if heap and heap[0][0] - next_slot < k:
+                    k = heap[0][0] - next_slot
+                if time_limit + 1 - next_slot < k:
+                    k = time_limit + 1 - next_slot
+                if k > 0:
+                    target = next_slot + k
+                    for v in actors:
+                        ps = plans[v]
+                        ps[1] -= k
+                        if ps[0] == OP_LISTEN:
+                            ps[3].extend([feedbacks[v]] * k)
+                    if metered:
+                        for v in bucket_senders:
+                            e_sends[v] += k
+                            e_last[v] = target - 1
+                        for v in bucket_listeners:
+                            e_listens[v] += k
+                            e_last[v] = target - 1
+                    bucket_slot = duration = target
 
         return SimResult(
             outputs=outputs,

@@ -23,7 +23,11 @@ The per-trial state machine below mirrors :meth:`repro.sim.engine.
 Simulator.run` exactly — same bucket/heap scheduling, same wake
 semantics, same phase-plan caching, same duration bookkeeping.  Any
 semantic change to the engine loop must be made in both places; the
-equivalence tests will catch a drift.
+equivalence tests will catch a drift.  The one deliberate difference is
+the engine's *leap* over slots that repeat the previous one exactly: a
+result-neutral shortcut of ``Simulator.run`` only.  The per-trial driver
+keeps per-slot advance, so it stays the slot-by-slot lock-step oracle
+the leap is pinned against.
 
 The per-trial bookkeeping *is* now vectorized across trials:
 :func:`run_trials_lockstep` dispatches eligible cells (numpy resolution,

@@ -766,6 +766,34 @@ class TestFabricCLI:
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("timeout", ["0", "-1", "-0.5", "nan", "inf", "x"])
+    @pytest.mark.parametrize("command", ["run", "run-all"])
+    def test_bad_timeout_rejected_by_argparse(
+        self, tmp_path, capsys, command, timeout
+    ):
+        # A negative budget used to arm a silent 1 s alarm per cell, and
+        # 0 meant "no budget" serially but a 5 s watchdog in the fabric.
+        config = self._config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", command, config, "--timeout", timeout])
+        assert exc.value.code == 2
+        assert "--timeout" in capsys.readouterr().err
+
+    def test_positive_timeout_accepted(self, tmp_path, capsys):
+        config = self._config(tmp_path)
+        out = str(tmp_path / "out")
+        assert main([
+            "campaign", "run", config, "--out", out, "--timeout", "30",
+        ]) == 0
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_figure1_bad_n_rejected_by_argparse(self, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure1", "--n", n])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--n" in err and "Traceback" not in err
+
     def test_store_compact_cli(self, tmp_path, capsys):
         store = _store(tmp_path)
         store.append(make_record("a", {}, "error", error="x"))

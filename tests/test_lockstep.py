@@ -33,6 +33,7 @@ from repro.sim import (
     SendListen,
     SendProb,
     SimulationTimeout,
+    Simulator,
     Steps,
     numpy_available,
     run_trials,
@@ -1008,6 +1009,207 @@ class TestTrialSoAEquivalence:
         assert [r.duration for r in results] == [LONG] * 2
         assert len(engines) == 1
         assert engines[0].iterations <= 3
+
+
+def _counted_run(graph, model, protocol, seed=0, **kw):
+    """One Simulator run, also returning how many times the backend's
+    per-slot resolver was called (one per slot the engine resolved)."""
+    sim = Simulator(graph, model, seed=seed, exec_config=ExecutionConfig(**kw))
+    real = sim.backend.slot_resolver
+    calls = []
+
+    def slot_resolver(m):
+        resolve = real(m)
+
+        def counted(*args):
+            calls.append(None)
+            return resolve(*args)
+
+        return counted
+
+    sim.backend.slot_resolver = slot_resolver
+    return sim.run(protocol), len(calls)
+
+
+def _assert_identical(a, b):
+    """Results agree on everything, energy reports field by field."""
+    _assert_same_results(a, b)
+    for x, y in zip(a, b):
+        assert x.energy == y.energy
+
+
+class TestSerialLeap:
+    """``Simulator.run`` leaps over slots that repeat the previous one.
+    Every case is pinned against the per-slot paths (``stepping="slot"``
+    and the per-trial lock-step driver, which never leap) and the
+    reference oracle."""
+
+    SEEDS = (0, 1, 2, 5, 9)
+
+    def _oracles(self, graph, model, protocol, seeds, **kw):
+        phase = run_trials(
+            graph, model, protocol, seeds, exec_config=ExecutionConfig(**kw)
+        )
+        slot = run_trials(
+            graph, model, protocol, seeds,
+            exec_config=ExecutionConfig(stepping="slot", **kw),
+        )
+        per_trial = run_trials(
+            graph, model, protocol, seeds,
+            exec_config=ExecutionConfig(
+                lockstep=True, resolution="bitmask", **kw
+            ),
+        )
+        _assert_identical(phase, slot)
+        _assert_identical(phase, per_trial)
+        for a, b in zip(phase, per_trial):
+            assert a.gen_entries == b.gen_entries
+        ref = ReferenceSimulator(graph, model, seed=seeds[0]).run(protocol)
+        assert ref.outputs == phase[0].outputs
+        assert ref.duration == phase[0].duration
+        if kw.get("meter_energy", True):
+            assert ref.energy == phase[0].energy
+        return phase
+
+    @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
+    def test_long_repeat_runs(self, model_name):
+        model = FIVE_MODELS[model_name]
+        graph = random_gnp(9, 0.5, random.Random(33))
+        for duplex in {False, model.full_duplex}:
+            protocol = _long_run_protocol(duplex)
+            phase = self._oracles(graph, model, protocol, self.SEEDS[:2])
+            assert all(r.duration == LONG + 3 for r in phase)
+
+    @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
+    def test_staggered_wakeups_inside_long_runs(self, model_name):
+        model = FIVE_MODELS[model_name]
+        phase = self._oracles(
+            star_graph(6), model, _staggered_protocol, self.SEEDS
+        )
+        assert len({r.duration for r in phase}) > 1
+
+    @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
+    def test_listen_until_accept_calls(self, model_name):
+        model = FIVE_MODELS[model_name]
+        graph = star_graph(6)
+        calls = {}
+        for stepping in ("phase", "slot"):
+            calls[stepping] = []
+            run_trials(
+                graph, model, _until_frame_protocol(calls[stepping]),
+                self.SEEDS, exec_config=ExecutionConfig(stepping=stepping),
+            )
+        assert len(calls["phase"]) == len(calls["slot"])
+        ref_calls = []
+        ReferenceSimulator(graph, model, seed=0).run(
+            _until_frame_protocol(ref_calls)
+        )
+        assert len(ref_calls) * len(self.SEEDS) == len(calls["phase"])
+        if model is not BEEPING:
+            assert len(ref_calls) == 5 * 81
+        self._oracles(graph, model, _until_frame_protocol([]), self.SEEDS)
+
+    @pytest.mark.parametrize("model_name", sorted(FIVE_MODELS))
+    def test_sendprob_and_steps_collect_across_leaps(self, model_name):
+        model = FIVE_MODELS[model_name]
+        graph = random_gnp(8, 0.6, random.Random(12))
+        self._oracles(graph, model, _segment_protocol, self.SEEDS)
+
+    def test_timeout_inside_leap(self):
+        def protocol(ctx):
+            if ctx.index < 2:
+                yield Repeat(Send(("f", ctx.index)), LONG)
+            else:
+                yield Repeat(Listen(), 100 * ctx.index)
+            return ctx.index
+
+        graph = clique(4)
+        limit = 4_321
+
+        def message(**kw):
+            with pytest.raises(SimulationTimeout) as exc:
+                run_trials(
+                    graph, NO_CD, protocol, (0,),
+                    exec_config=ExecutionConfig(time_limit=limit, **kw),
+                )
+            return str(exc.value)
+
+        leaped = message()
+        assert leaped == (
+            f"simulation exceeded {limit} slots (2 protocols still running)"
+        )
+        assert message(stepping="slot") == leaped
+        assert message(lockstep=True, resolution="bitmask") == (
+            leaped[:-1] + ", seed 0)"
+        )
+        # Within the limit the same run leaps between its run ends.
+        _, calls = _counted_run(graph, NO_CD, protocol, time_limit=LONG)
+        assert calls <= 10
+
+    def test_meter_energy_off(self):
+        graph = random_gnp(9, 0.5, random.Random(33))
+        protocol = _long_run_protocol(False)
+        metered = run_trials(graph, NO_CD, protocol, self.SEEDS[:2])
+        unmetered = self._oracles(
+            graph, NO_CD, protocol, self.SEEDS[:2], meter_energy=False
+        )
+        for a, b in zip(metered, unmetered):
+            assert a.outputs == b.outputs
+            assert a.duration == b.duration
+            assert all(e.total == 0 and e.last_active_slot == -1
+                       for e in b.energy)
+
+    def test_two_node_run_resolves_few_slots(self):
+        """A per-slot engine resolves all 10,000 slots; the leap takes
+        the runs in at most three resolver calls."""
+
+        def protocol(ctx):
+            if ctx.index == 0:
+                yield Repeat(Send(("s", 0)), LONG)
+                return None
+            heard = yield Repeat(Listen(), LONG)
+            return heard.count(("s", 0))
+
+        result, calls = _counted_run(path_graph(2), NO_CD, protocol)
+        assert result.outputs == [None, LONG]
+        assert result.duration == LONG
+        assert calls <= 3
+        slot_result, slot_calls = _counted_run(
+            path_graph(2), NO_CD, protocol, stepping="slot"
+        )
+        assert slot_calls == LONG
+        assert slot_result.energy == result.energy
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(record_trace=True),
+            dict(jam="periodic:period=4,offset=1"),
+            dict(burst_loss="p_gb=0.2,p_bg=0.4,good=0.05,bad=0.9"),
+            dict(churn="periodic:period=10,down=3,stagger=2"),
+            dict(lossy=True),
+        ],
+        ids=("trace", "jam", "burst-loss", "churn", "lossy"),
+    )
+    def test_never_leaps(self, kw):
+        """Traces see every slot, and fault models and lossy channels
+        decide per slot: these runs resolve as many slots as the
+        per-slot path, with the same results."""
+        graph = random_gnp(8, 0.6, random.Random(12))
+        protocol = _long_run_protocol(False, span=300)
+        lossy = kw.pop("lossy", False)
+
+        def model():
+            return LossyModel(NO_CD, 0.35, seed=3) if lossy else NO_CD
+
+        phase, calls = _counted_run(graph, model(), protocol, seed=5, **kw)
+        slot, slot_calls = _counted_run(
+            graph, model(), protocol, seed=5, stepping="slot", **kw
+        )
+        assert calls == slot_calls >= 300
+        _assert_identical([phase], [slot])
+        if phase.trace is not None:
+            assert list(phase.trace) == list(slot.trace)
 
 
 class TestTrialSoAProperty:

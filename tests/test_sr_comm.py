@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.sr_comm import (
+    _ACK,
+    _PROBE,
     CDParams,
     DecayParams,
     Role,
+    _Controller,
     det_frame_length,
     sr_cd,
     sr_det_cd,
@@ -15,8 +20,30 @@ from repro.core.sr_comm import (
     sr_local,
     sr_nocd,
 )
-from repro.graphs import Graph, clique, k2k_gadget, path_graph, star_graph
-from repro.sim import CD, LOCAL, NO_CD, Simulator
+from repro.graphs import (
+    Graph,
+    clique,
+    k2k_gadget,
+    path_graph,
+    random_gnp,
+    star_graph,
+)
+from repro.sim import (
+    CD,
+    CD_STAR,
+    LOCAL,
+    NO_CD,
+    SILENCE,
+    ExecutionConfig,
+    Idle,
+    Knowledge,
+    Listen,
+    NodeCtx,
+    Send,
+    Simulator,
+    Steps,
+)
+from repro.sim.feedback import is_message
 
 
 def _run_sr(graph, model, roles, messages, maker, seed=0):
@@ -189,6 +216,171 @@ class TestCDGeneric:
 
         result = Simulator(g, CD, seed=0).run(proto)
         assert set(result.outputs) == {params.frame_length}
+
+
+def _sr_cd_per_epoch(ctx, role, message, params, accept=None):
+    """Frozen copy of the per-epoch ``sr_cd``: one sender ``Steps`` per
+    epoch and one receiver ``Idle`` per epoch once satisfied.  The
+    whole-frame rewrite must reproduce it slot for slot."""
+    total = params.frame_length
+    spent = 0
+
+    def idle_rest():
+        if total - spent > 0:
+            yield Idle(total - spent)
+
+    if role is Role.IDLE:
+        yield from idle_rest()
+        return None
+    if params.probe:
+        if role is Role.SENDER:
+            yield Send(_PROBE)
+            fb_r = None
+        else:
+            fb_r = yield Listen()
+        if role is Role.RECEIVER:
+            yield Send(_PROBE)
+        else:
+            fb_s = yield Listen()
+        spent += 2
+        if role is Role.RECEIVER and fb_r is SILENCE:
+            yield from idle_rest()
+            return None
+        if role is Role.SENDER and fb_s is SILENCE:
+            yield from idle_rest()
+            return None
+    slots = params.slots_per_epoch
+    if role is Role.SENDER:
+        for _ in range(params.epochs):
+            picks = [
+                i for i in range(slots) if ctx.rng.random() < 2.0 ** -(i + 1)
+            ][:2]
+            acts = []
+            cursor = 0
+            for i in picks:
+                if i > cursor:
+                    acts.append(Idle(i - cursor))
+                acts.append(Send(message))
+                cursor = i + 1
+            if slots > cursor:
+                acts.append(Idle(slots - cursor))
+            if len(acts) == 1:
+                yield acts[0]
+            else:
+                yield Steps(tuple(acts))
+            spent += slots
+            if params.ack:
+                feedback = yield Listen()
+                spent += 1
+                if feedback is not SILENCE:
+                    yield from idle_rest()
+                    return None
+        return None
+    controller = _Controller(max_k=slots)
+    received = None
+    for _ in range(params.epochs):
+        if received is None:
+            k = controller.next_k()
+            acts = []
+            if k > 1:
+                acts.append(Idle(k - 1))
+            acts.append(Listen())
+            if slots > k:
+                acts.append(Idle(slots - k))
+            if len(acts) == 1:
+                feedback = yield acts[0]
+            else:
+                feedback = (yield Steps(tuple(acts)))[0]
+            if is_message(feedback):
+                if accept is None or accept(feedback):
+                    received = feedback
+            else:
+                controller.observe(k, feedback)
+            spent += slots
+            if params.ack:
+                if received is not None:
+                    yield Send(_ACK)
+                else:
+                    yield Idle(1)
+                spent += 1
+        else:
+            if params.ack:
+                yield from idle_rest()
+                break
+            yield Idle(slots)
+            spent += slots
+    return received
+
+
+class TestCDWholeFrame:
+    """``sr_cd``'s whole-frame sender plan and single satisfied-receiver
+    Idle reproduce the per-epoch frame: same slots, same rng draws."""
+
+    @staticmethod
+    def _protocol(frame, params, roles, accept):
+        def protocol(ctx):
+            outs = []
+            for r in range(2):  # two frames, roles swapped in the second
+                role = roles[(ctx.index + r) % len(roles)]
+                outs.append((yield from frame(
+                    ctx, role, ("m", ctx.index), params, accept=accept
+                )))
+            # A raw draw pins the rng stream position after both frames.
+            return (outs, ctx.time, ctx.rng.random())
+
+        return protocol
+
+    @pytest.mark.parametrize("model", (CD, CD_STAR), ids=("CD", "CD*"))
+    @pytest.mark.parametrize("probe", (False, True))
+    @pytest.mark.parametrize("ack", (False, True))
+    @pytest.mark.parametrize("rejecting", (False, True))
+    def test_matches_per_epoch_frame(self, model, probe, ack, rejecting):
+        graph = random_gnp(12, 0.35, random.Random(4))
+        params = CDParams.for_graph(graph.max_degree, 0.05, probe=probe, ack=ack)
+        roles = (Role.SENDER, Role.RECEIVER, Role.SENDER, Role.IDLE,
+                 Role.RECEIVER)
+        accept = (lambda m: m[1] % 3 != 0) if rejecting else None
+        for seed in range(4):
+            runs = {}
+            for name, frame in (("new", sr_cd), ("old", _sr_cd_per_epoch)):
+                protocol = self._protocol(frame, params, roles, accept)
+                traced = Simulator(
+                    graph, model, seed=seed,
+                    exec_config=ExecutionConfig(record_trace=True),
+                ).run(protocol)
+                plain = Simulator(graph, model, seed=seed).run(protocol)
+                runs[name] = (traced, plain)
+            (new_traced, new), (old_traced, old) = runs["new"], runs["old"]
+            assert list(new_traced.trace) == list(old_traced.trace)
+            for a, b in ((new_traced, old_traced), (new, old)):
+                assert a.outputs == b.outputs
+                assert a.energy == b.energy
+                assert a.finish_slot == b.finish_slot
+                assert a.duration == b.duration
+            assert new.gen_entries <= old.gen_entries
+            if not ack:
+                assert new.gen_entries < old.gen_entries
+
+    def test_sender_frame_is_one_plan(self):
+        params = CDParams.for_graph(8, 0.05)
+        yielded = []
+        ctx = NodeCtx(
+            index=0, uid=1, knowledge=Knowledge(n=2, max_degree=8),
+            rng=random.Random(7), inputs={},
+        )
+        gen = sr_cd(ctx, Role.SENDER, "m", params)
+        for action in gen:
+            yielded.append(action)
+        assert len(yielded) == 1 and isinstance(yielded[0], Steps)
+        assert sum(
+            a.duration if isinstance(a, Idle) else 1
+            for a in yielded[0].actions
+        ) == params.frame_length
+        # No two idles in a row: epoch-boundary idles are merged.
+        kinds = [type(a) for a in yielded[0].actions]
+        assert all(
+            not (a is Idle and b is Idle) for a, b in zip(kinds, kinds[1:])
+        )
 
 
 class TestLocal:
